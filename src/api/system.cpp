@@ -148,21 +148,23 @@ std::shared_ptr<const Placement> System::build_placement(
 }
 
 std::shared_ptr<const Placement> System::placement_for(
-    const workload::Workload& workload, const RunSpec& spec) const {
+    const RunSpec& spec, const std::shared_ptr<const void>& pin,
+    const TraceSource& traces) const {
   const std::string& scheme =
       spec.placement.empty() ? config_.placement : spec.placement;
-  // Key on the trace OBJECT, not the workload's name/params: the Workload
-  // constructor is public, so two workloads with equal identity strings
-  // can carry different traces.  The weak_ptr check makes a dead (or
-  // address-reused) trace read as a miss.
-  const std::shared_ptr<const TraceSet>& traces = workload.shared_traces();
+  if (pin == nullptr) {
+    return build_placement(scheme, traces);
+  }
+  // Key on the trace OBJECT, not the workload's name/params or the
+  // stream's path: the Workload constructor is public, so two workloads
+  // with equal identity strings can carry different traces, and two
+  // streams opened on one path need not see the same bytes.  The
+  // weak_ptr check makes a dead (or address-reused) pin read as a miss.
   char ptr_key[32];
-  std::snprintf(ptr_key, sizeof ptr_key, "%p",
-                static_cast<const void*>(traces.get()));
+  std::snprintf(ptr_key, sizeof ptr_key, "%p", pin.get());
   const std::string key = scheme + "|" + ptr_key;
-  return placement_cache_.get_or_build(key, traces, [&] {
-    return build_placement(scheme, MemoryTraceSource(*traces));
-  });
+  return placement_cache_.get_or_build(
+      key, pin, [&] { return build_placement(scheme, traces); });
 }
 
 std::unique_ptr<Placement> System::make_placement_for(
@@ -178,10 +180,10 @@ std::unique_ptr<Placement> System::make_placement_for(
 RunReport System::run(const workload::Workload& workload,
                       const RunSpec& spec) const {
   validate(spec);
+  const MemoryTraceSource traces(workload.traces());
   const std::shared_ptr<const Placement> placement =
-      placement_for(workload, spec);
-  return run_with_placement(MemoryTraceSource(workload.traces()), spec,
-                            *placement, &workload);
+      placement_for(spec, workload.shared_traces(), traces);
+  return run_with_placement(traces, spec, *placement, &workload);
 }
 
 RunReport System::run(const TraceSet& traces, const RunSpec& spec) const {
@@ -195,10 +197,10 @@ RunReport System::run(const TraceSource& traces,
   // construction streams the trace too.  Throws std::invalid_argument
   // for a non-zero window below the source's minimum.
   traces.set_stream_window(spec.stream_window);
-  const std::string& scheme =
-      spec.placement.empty() ? config_.placement : spec.placement;
+  // A source with an identity (an on-disk stream) builds its placement
+  // once and reuses it for every later run over the same object.
   const std::shared_ptr<const Placement> placement =
-      build_placement(scheme, traces);
+      placement_for(spec, traces.identity(), traces);
   return run_with_placement(traces, spec, *placement, nullptr);
 }
 
@@ -626,15 +628,13 @@ RunReport System::run_optimal_mode(const TraceSet& traces,
   (void)spec;  // the DP models the migrate/RA decision; arch-independent
   RunReport::OptimalSection section;
   for (const auto& thread : traces.threads()) {
-    const std::vector<CoreId> homes =
-        home_sequence(thread, traces, placement);
-    std::vector<MemOp> ops;
-    ops.reserve(thread.size());
+    ModelTrace mt;
+    mt.homes = home_sequence(thread, traces, placement);
+    mt.ops.reserve(thread.size());
     for (const auto& a : thread.accesses()) {
-      ops.push_back(a.op);
+      mt.ops.push_back(a.op);
     }
-    const ModelTrace mt =
-        make_model_trace(homes, ops, thread.native_core());
+    mt.start = thread.native_core();
     const MigrateRaSolution sol = solve_optimal_migrate_ra(mt, cost);
     section.cost += sol.total_cost;
     section.migrations += sol.migrations;

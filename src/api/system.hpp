@@ -311,7 +311,9 @@ class System {
   /// bytes of resident trace memory, with a report byte-identical to the
   /// same trace run in memory (one engine loop serves both).  Exec and
   /// optimal modes need the whole trace and materialize a sourced stream
-  /// first (in-memory sources are used as-is).
+  /// first (in-memory sources are used as-is).  Placements are memoized
+  /// per source object for sources with an identity() (TraceStream), so
+  /// repeated runs over one open stream scan it for placement once.
   RunReport run(const TraceSource& traces, const RunSpec& spec = {}) const;
 
   /// The full workloads x specs grid, fanned out over the parallel sweep
@@ -355,9 +357,11 @@ class System {
 
  private:
   /// Resolves spec.placement / config_.placement and validates names;
-  /// the workload overload memoizes in placement_cache_.
+  /// memoizes in placement_cache_ pinned on `pin` (the workload's
+  /// TraceSet, or the source's identity()); a null pin builds uncached.
   std::shared_ptr<const Placement> placement_for(
-      const workload::Workload& workload, const RunSpec& spec) const;
+      const RunSpec& spec, const std::shared_ptr<const void>& pin,
+      const TraceSource& traces) const;
   std::shared_ptr<const Placement> build_placement(
       const std::string& scheme, const TraceSource& traces) const;
   /// Fails fast on unknown policy/placement names in `spec`.
@@ -418,10 +422,11 @@ class System {
   Mesh mesh_;
   CostModel cost_;
   /// One weak_ptr-pinned, internally-synchronized memo cache.  Entries
-  /// hold the TraceSet by weak_ptr: while any Workload copy keeps the
-  /// trace alive the entry hits, and once the trace dies the entry reads
-  /// as a miss — so a reused address can never resurrect another
-  /// workload's value, and the cache does not pin traces the caller
+  /// hold their pin — a workload's TraceSet, or a TraceSource's
+  /// identity() token — by weak_ptr: while any Workload copy (or the
+  /// source) keeps the pin alive the entry hits, and once it dies the
+  /// entry reads as a miss — so a reused address can never resurrect
+  /// another trace's value, and the cache does not pin traces the caller
   /// dropped (dead entries are pruned on the next insert).  Both caches
   /// below memoize a value that is a deterministic function of the key,
   /// which is what makes them the sanctioned exception to the sweep
@@ -436,7 +441,7 @@ class System {
    public:
     template <typename Build>
     Value get_or_build(const std::string& key,
-                       const std::shared_ptr<const TraceSet>& pin,
+                       const std::shared_ptr<const void>& pin,
                        Build&& build) {
       {
         const MutexLock lock(mutex_);
@@ -466,21 +471,21 @@ class System {
         return it->second.value;
       }
       it->second =
-          Entry{std::move(built), std::weak_ptr<const TraceSet>(pin)};
+          Entry{std::move(built), std::weak_ptr<const void>(pin)};
       return it->second.value;
     }
 
    private:
     struct Entry {
       Value value;
-      std::weak_ptr<const TraceSet> pin;
+      std::weak_ptr<const void> pin;
     };
     Mutex mutex_;
     std::unordered_map<std::string, Entry> entries_ EM2_GUARDED_BY(mutex_);
   };
 
-  /// Placements keyed by (scheme, trace object); shared across runs and
-  /// sweep workers.
+  /// Placements keyed by (scheme, trace object or stream); shared across
+  /// runs and sweep workers.
   mutable TracePinnedCache<std::shared_ptr<const Placement>>
       placement_cache_;
   /// Contention calibrations keyed by (contention mode, calibration

@@ -20,6 +20,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "geom/mesh.hpp"
@@ -129,6 +130,20 @@ class CostModel {
   Cost migration_to(CoreId src, CoreId dst, CoreId native) const noexcept {
     return dst == native ? migration_native(src, dst)
                          : migration(src, dst);
+  }
+
+  /// The per-hop-count tables behind migration_to() and remote_access(),
+  /// indexed by hop count in [0, mesh diameter], with the same vnet
+  /// selection.  Index 0 holds the serialization-only latency: the
+  /// src == dst free case is the caller's to handle.  For loops that
+  /// charge many sources against one destination per step (the DP's
+  /// frontier sweep) and pick the table once instead of per source.
+  std::span<const Cost> migration_to_by_hops(CoreId dst,
+                                             CoreId native) const noexcept {
+    return dst == native ? migration_native_by_hops_ : migration_by_hops_;
+  }
+  std::span<const Cost> remote_access_by_hops(MemOp op) const noexcept {
+    return op == MemOp::kRead ? remote_read_by_hops_ : remote_write_by_hops_;
   }
 
   /// Migration carrying an explicit context size (stack-EM2 uses this with

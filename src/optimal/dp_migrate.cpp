@@ -56,13 +56,28 @@ ModelTrace make_model_trace(std::span<const CoreId> homes,
 MigrateRaSolution solve_optimal_migrate_ra(const ModelTrace& trace,
                                            const CostModel& cost) {
   const std::size_t n = trace.homes.size();
-  const auto P =
-      static_cast<std::size_t>(cost.mesh().num_cores());
-  EM2_ASSERT(trace.start >= 0 && static_cast<std::size_t>(trace.start) < P,
+  const Mesh& mesh = cost.mesh();
+  EM2_ASSERT(trace.start >= 0 && trace.start < mesh.num_cores(),
              "start core outside the mesh");
 
-  std::vector<Cost> dp(P, kInfiniteCost);
-  dp[static_cast<std::size_t>(trace.start)] = 0;
+  // The frontier: every core whose DP value is finite, i.e. the start
+  // core plus every home seen so far (a thread only ever reaches a core by
+  // starting there or migrating to it as a home).  Structure of arrays,
+  // ascending core id, so the sweep below visits cores in the order the
+  // recurrence's tie-break needs.
+  std::vector<CoreId> core;
+  std::vector<Cost> dp;
+  std::vector<std::int32_t> xs;
+  std::vector<std::int32_t> ys;
+  const auto insert_at = [&](std::size_t pos, CoreId c, Cost value) {
+    const Coord at = mesh.coord_of(c);
+    const auto off = static_cast<std::ptrdiff_t>(pos);
+    core.insert(core.begin() + off, c);
+    dp.insert(dp.begin() + off, value);
+    xs.insert(xs.begin() + off, at.x);
+    ys.insert(ys.begin() + off, at.y);
+  };
+  insert_at(0, trace.start, 0);
 
   // Per-step choice record for the hit core: the core migrated from, or
   // kNoCore when the optimum stays at the home (covers both "was already
@@ -71,49 +86,58 @@ MigrateRaSolution solve_optimal_migrate_ra(const ModelTrace& trace,
 
   for (std::size_t k = 0; k < n; ++k) {
     const CoreId d = trace.homes[k];
-    const auto di = static_cast<std::size_t>(d);
-    const MemOp op = trace.ops[k];
+    const std::span<const Cost> migrate =
+        cost.migration_to_by_hops(d, trace.start);
+    const std::span<const Cost> remote =
+        cost.remote_access_by_hops(trace.ops[k]);
+    const Coord home = mesh.coord_of(d);
+    const std::size_t pos = static_cast<std::size_t>(
+        std::lower_bound(core.begin(), core.end(), d) - core.begin());
+    const bool present = pos < core.size() && core[pos] == d;
 
-    // Core-hit update first (it reads dp[] of the *previous* step for all
-    // cores, including the stay-at-d term).
-    Cost best_hit = dp[di];  // stay: local access, free
-    CoreId best_from = kNoCore;
-    for (std::size_t c = 0; c < P; ++c) {
-      if (c == di || dp[c] >= kInfiniteCost) {
-        continue;
-      }
-      const Cost via =
-          dp[c] + cost.migration_to(static_cast<CoreId>(c), d, trace.start);
-      if (via < best_hit) {
-        best_hit = via;
-        best_from = static_cast<CoreId>(c);
-      }
+    // One fused pass over the previous step's values: the core-hit
+    // minimization (stay at d for free, else migrate in from the cheapest
+    // core) and the core-miss update (every core stays and pays a remote
+    // access).  Strict < in ascending core order keeps the tie-break:
+    // staying wins, then the lowest core id.  d's own slot cannot win
+    // (dp + migrate[0] >= the stay value) and its wrongly-charged remote
+    // access is overwritten below.
+    Cost best = present ? dp[pos] : kInfiniteCost;
+    CoreId from = kNoCore;
+    const std::size_t size = core.size();
+    for (std::size_t i = 0; i < size; ++i) {
+      const std::int32_t dx = xs[i] - home.x;
+      const std::int32_t dy = ys[i] - home.y;
+      const auto h = static_cast<std::size_t>((dx < 0 ? -dx : dx) +
+                                              (dy < 0 ? -dy : dy));
+      const Cost via = dp[i] + migrate[h];
+      const bool better = via < best;
+      best = better ? via : best;
+      from = better ? core[i] : from;
+      dp[i] += remote[h];
     }
-
-    // Core-miss updates: every other core stays and pays a remote access.
-    for (std::size_t c = 0; c < P; ++c) {
-      if (c == di || dp[c] >= kInfiniteCost) {
-        continue;
-      }
-      dp[c] += cost.remote_access(static_cast<CoreId>(c), d, op);
+    if (present) {
+      dp[pos] = best;
+    } else {
+      insert_at(pos, d, best);
     }
-    dp[di] = best_hit;
-    hit_choice[k] = best_from;
+    hit_choice[k] = from;
   }
 
-  // Optimal end state and backward reconstruction.
+  // Optimal end state (lowest core id among the minima) and backward
+  // reconstruction.
   MigrateRaSolution sol;
   std::size_t end = 0;
-  for (std::size_t c = 1; c < P; ++c) {
-    if (dp[c] < dp[end]) {
-      end = c;
+  for (std::size_t i = 1; i < core.size(); ++i) {
+    if (dp[i] < dp[end]) {
+      end = i;
     }
   }
   sol.total_cost = dp[end];
   EM2_ASSERT(sol.total_cost < kInfiniteCost, "no feasible schedule found");
 
   sol.locations.resize(n);
-  CoreId at = static_cast<CoreId>(end);
+  CoreId at = core[end];
   for (std::size_t k = n; k-- > 0;) {
     sol.locations[k] = at;
     const CoreId d = trace.homes[k];

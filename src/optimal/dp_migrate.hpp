@@ -20,11 +20,19 @@
 //
 // The paper bounds this at O(N*P^2).  Observing that exactly one core (the
 // access's home) is a "hit" state per step, the inner minimization is
-// needed only once per access, so the implementation below runs in
-// O(N*P) time and O(P + N) space — same recurrence, tighter bound.  A
-// relaxed-action-space variant (migration allowed to any core before any
-// access) costs the full O(N*P^2) and is provided both as an ablation and
-// as the literal worst-case-shape workload for the scaling bench.
+// needed only once per access, which gives O(N*P).  The solver goes one
+// step further: OPT(k, c) is finite only on the *frontier* — the start
+// core plus every home among the first k accesses — because a thread
+// reaches a core only by starting there or migrating to it as a home.
+// Every other core stays at infinity and contributes nothing to either
+// case of the recurrence, so each step sweeps the frontier alone:
+// O(sum_k |frontier_k|) <= O(N*P) time and O(P + N) space — the same
+// recurrence and the same schedule, tie-breaks included.  Local traces
+// keep the frontier at a handful of cores; a thread that touches every
+// home saturates it at P.  A relaxed-action-space variant (migration
+// allowed to any core before any access) costs the full O(N*P^2) and is
+// provided both as an ablation and as the literal worst-case-shape
+// workload for the scaling bench.
 #pragma once
 
 #include <cstdint>
@@ -60,8 +68,10 @@ struct MigrateRaSolution {
   std::uint64_t remote_accesses = 0;
 };
 
-/// Exact optimum of the paper's model via the recurrence above.
-/// Time O(N*P), space O(P + N).
+/// Exact optimum of the paper's model via the recurrence above, swept
+/// over the reachable frontier.  Time O(sum_k |frontier_k|) <= O(N*P),
+/// space O(P + N).  Ties go to staying at the home, then to the lowest
+/// core id (migration source and end state alike).
 MigrateRaSolution solve_optimal_migrate_ra(const ModelTrace& trace,
                                            const CostModel& cost);
 

@@ -70,30 +70,46 @@ std::vector<std::uint64_t> TablePlacement::blocks_per_core() const {
 FirstTouchPlacement::FirstTouchPlacement(const TraceSource& traces,
                                          std::int32_t num_cores)
     : TablePlacement(num_cores) {
-  // Deterministic round-robin interleaving: one access per live thread per
-  // round, threads in id order.
-  std::vector<std::unique_ptr<AccessCursor>> cursor;
-  cursor.reserve(traces.num_threads());
+  // "First" follows the deterministic round-robin interleaving (one
+  // access per live thread per round, threads in id order): access k of
+  // thread t precedes access k' of thread t' iff (k, t) < (k', t')
+  // lexicographically.  So one pass per thread, keeping each block's
+  // smallest (k, t), gives the same table as walking the interleaving —
+  // while reading each thread's accesses contiguously instead of hopping
+  // between every thread's buffer once per round.  Threads go in id
+  // order, so a later thread takes a block only with a strictly smaller k.
+  struct FirstTouch {
+    std::uint64_t index;
+    CoreId native;
+  };
+  std::unordered_map<Addr, FirstTouch> first;
+  std::vector<Addr> blocks;  // distinct blocks, in discovery order
   for (std::size_t t = 0; t < traces.num_threads(); ++t) {
-    cursor.push_back(traces.make_cursor(t));
-  }
-  bool progressed = true;
-  while (progressed) {
-    progressed = false;
-    for (std::size_t t = 0; t < traces.num_threads(); ++t) {
-      const Access* a = cursor[t]->next();
-      if (a == nullptr) {
-        continue;
-      }
+    const CoreId native = traces.native_core(t);
+    const std::unique_ptr<AccessCursor> cursor = traces.make_cursor(t);
+    std::uint64_t k = 0;
+    for (const Access* a = cursor->next(); a != nullptr;
+         a = cursor->next(), ++k) {
       const Addr block = traces.block_of(a->addr);
-      progressed = true;
-      if (table_.find(block) == table_.end()) {
-        CoreId native = traces.native_core(t);
-        EM2_ASSERT(native >= 0 && native < num_cores_,
-                   "thread native core outside the mesh");
-        table_.emplace(block, native);
+      const auto [it, inserted] =
+          first.try_emplace(block, FirstTouch{k, native});
+      if (inserted) {
+        blocks.push_back(block);
+      } else if (k < it->second.index) {
+        it->second = FirstTouch{k, native};
       }
     }
+  }
+  // Erasing as the table fills hands each freed node to the next insert,
+  // so the two maps never hold every block at once.
+  table_.reserve(blocks.size());
+  for (const Addr block : blocks) {
+    const auto it = first.find(block);
+    const CoreId native = it->second.native;
+    EM2_ASSERT(native >= 0 && native < num_cores_,
+               "thread native core outside the mesh");
+    table_.emplace(block, native);
+    first.erase(it);
   }
 }
 

@@ -27,6 +27,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -62,6 +63,8 @@ class TraceStream final : public TraceSource {
   }
   std::unique_ptr<AccessCursor> make_cursor(
       std::size_t thread) const override;
+  /// Content is validated at open and fixed from then on.
+  std::shared_ptr<const void> identity() const override { return identity_; }
 
   /// Hard budget for this stream's read-side buffers, divided evenly
   /// across per-thread cursors (0 = unlimited: cursors use a fixed
@@ -107,6 +110,8 @@ class TraceStream final : public TraceSource {
   void release(std::uint64_t bytes) const;
 
   std::string path_;
+  /// Token behind identity(): lives and dies with this stream.
+  std::shared_ptr<const void> identity_ = std::make_shared<char>();
   std::uint64_t file_size_ = 0;
   std::uint32_t version_ = 0;
   std::uint64_t total_accesses_ = 0;

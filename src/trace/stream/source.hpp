@@ -94,6 +94,15 @@ class TraceSource {
   /// backing set is materialized for them instead.
   virtual const TraceSet* backing_traces() const { return nullptr; }
 
+  /// Identity token for memoizing results derived from this source's
+  /// content (the System's placement cache pins on it by weak_ptr).  A
+  /// source whose content is fixed for its lifetime returns a token that
+  /// lives exactly as long as it does, so a cached value reads as a miss
+  /// once the source is gone; two sources opened on the same file carry
+  /// different tokens.  nullptr (the default, and in-memory views, which
+  /// borrow a TraceSet the caller may change or free) opts out.
+  virtual std::shared_ptr<const void> identity() const { return nullptr; }
+
   /// Applies a total resident-memory budget in bytes for this source's
   /// read-side buffers (0 = unlimited).  In-memory sources ignore it;
   /// TraceStream divides it across per-thread cursors and throws

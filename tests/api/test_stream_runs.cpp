@@ -9,8 +9,10 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "trace/stream/convert.hpp"
 #include "trace/stream/reader.hpp"
@@ -215,6 +217,81 @@ TEST(StreamRuns, OutOfCoreRunStaysWithinTheWindowOnAllArches) {
     EXPECT_GT(stream.peak_resident_trace_bytes(), 0u);
   }
   EXPECT_EQ(stream.resident_trace_bytes(), 0u);
+  std::remove(path.c_str());
+}
+
+/// Forwards to a TraceStream and counts the cursors opened on it, so a
+/// test can see whether a run re-scanned the stream for its placement.
+class CountingSource final : public TraceSource {
+ public:
+  explicit CountingSource(const TraceStream& inner)
+      : TraceSource(inner.num_threads(), inner.block_bytes()),
+        inner_(inner) {}
+
+  CoreId native_core(std::size_t thread) const override {
+    return inner_.native_core(thread);
+  }
+  std::uint64_t total_accesses() const override {
+    return inner_.total_accesses();
+  }
+  std::unique_ptr<AccessCursor> make_cursor(
+      std::size_t thread) const override {
+    ++cursors;
+    return inner_.make_cursor(thread);
+  }
+  std::shared_ptr<const void> identity() const override {
+    return inner_.identity();
+  }
+  void set_stream_window(std::uint64_t bytes) const override {
+    inner_.set_stream_window(bytes);
+  }
+
+  mutable std::size_t cursors = 0;
+
+ private:
+  const TraceStream& inner_;
+};
+
+TEST(StreamRuns, PlacementIsBuiltOncePerOpenStream) {
+  // Three trace-mode runs over one open stream: the first run scans the
+  // stream for its first-touch placement (one cursor per thread) before
+  // the engine's own cursors; the later runs reuse the placement and
+  // open only the engine's.  Reports match runs that build afresh.
+  const std::string path = tmp_path("placement_cache.em2s");
+  const TraceSet traces = spill(path, 16, 29);
+  const std::size_t threads = traces.num_threads();
+  const std::vector<RunSpec> specs = {
+      RunSpec{.arch = MemArch::kEm2},
+      RunSpec{.arch = MemArch::kEm2Ra, .policy = "history"},
+      RunSpec{.arch = MemArch::kCc}};
+
+  const System sys({.threads = 16});
+  const TraceStream stream(path);
+  const CountingSource counted(stream);
+  std::vector<std::size_t> opened;
+  for (const RunSpec& spec : specs) {
+    const std::size_t before = counted.cursors;
+    const RunReport cached = sys.run(counted, spec);
+    opened.push_back(counted.cursors - before);
+    // A fresh System has an empty cache: this run builds its placement.
+    expect_identical(cached, System({.threads = 16}).run(stream, spec));
+  }
+  EXPECT_EQ(opened[0], 2 * threads);  // placement scan + engine
+  EXPECT_EQ(opened[1], threads);      // engine only
+  EXPECT_EQ(opened[2], threads);
+
+  // A second stream on the same file is a different object: a miss.
+  const TraceStream reopened(path);
+  const CountingSource counted_again(reopened);
+  (void)sys.run(counted_again, specs[0]);
+  EXPECT_EQ(counted_again.cursors, 2 * threads);
+
+  // So is another trace-derived scheme over the first stream.
+  const std::size_t before = counted.cursors;
+  RunSpec greedy = specs[0];
+  greedy.placement = "profile-greedy";
+  (void)sys.run(counted, greedy);
+  EXPECT_EQ(counted.cursors - before, 2 * threads);
   std::remove(path.c_str());
 }
 

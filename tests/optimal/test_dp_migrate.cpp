@@ -112,7 +112,10 @@ TEST(DpMigrate, WritesUseWriteRaCost) {
 }
 
 // The core optimality property: the DP equals exhaustive enumeration on
-// random tiny instances, across meshes, ops, and seeds.
+// random tiny instances, across meshes, ops, and seeds — under the
+// uniform model and under a contention-corrected one whose per-vnet hop
+// latencies all differ, so the guest-vs-native migration table choice
+// (moves back to the start core ride the native vnet) is exercised.
 struct DpCase {
   std::int32_t cores;
   int length;
@@ -121,22 +124,33 @@ struct DpCase {
 
 class DpVsBruteForce : public ::testing::TestWithParam<DpCase> {};
 
-TEST_P(DpVsBruteForce, ExactlyOptimal) {
-  const auto [cores, length, seed] = GetParam();
-  const CostModel m = model_for(cores);
-  Rng rng(seed);
+void expect_dp_equals_brute_force(const DpCase& c, const HopLatencies& hop) {
+  const CostModel m(Mesh::near_square(c.cores), CostModelParams{}, hop);
+  Rng rng(c.seed);
   ModelTrace t;
   t.start = static_cast<CoreId>(rng.next_below(
-      static_cast<std::uint64_t>(cores)));
-  for (int i = 0; i < length; ++i) {
+      static_cast<std::uint64_t>(c.cores)));
+  for (int i = 0; i < c.length; ++i) {
     t.homes.push_back(static_cast<CoreId>(
-        rng.next_below(static_cast<std::uint64_t>(cores))));
+        rng.next_below(static_cast<std::uint64_t>(c.cores))));
     t.ops.push_back(rng.next_bool(0.3) ? MemOp::kWrite : MemOp::kRead);
   }
   const auto dp = solve_optimal_migrate_ra(t, m);
   const auto bf = brute_force_migrate_ra(t, m);
   EXPECT_EQ(dp.total_cost, bf.total_cost)
-      << "cores=" << cores << " len=" << length << " seed=" << seed;
+      << "cores=" << c.cores << " len=" << c.length << " seed=" << c.seed;
+}
+
+TEST_P(DpVsBruteForce, ExactlyOptimal) {
+  expect_dp_equals_brute_force(GetParam(), HopLatencies::uniform(1.0));
+}
+
+TEST_P(DpVsBruteForce, ExactlyOptimalWithSkewedVnets) {
+  HopLatencies hop;
+  hop.cycles = {3.4, 1.2, 1.9, 1.3, 1.0, 1.0};
+  const CostModel probe(Mesh(2, 1), CostModelParams{}, hop);
+  ASSERT_NE(probe.migration(0, 1), probe.migration_native(0, 1));
+  expect_dp_equals_brute_force(GetParam(), hop);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -93,12 +93,15 @@ TEST(DpStackDeath, PopsBeyondWindowAbort) {
 }
 
 // Optimality property: DP == brute force on random tiny instances.
+// The case struct has no padding: gtest names each case by dumping its
+// bytes, and uninitialised padding would make the names differ per run.
 struct StackCase {
   std::int32_t cores;
   int length;
-  std::uint32_t window;
+  std::uint64_t window;
   std::uint64_t seed;
 };
+static_assert(sizeof(StackCase) == 24, "StackCase must have no padding");
 
 class StackDpVsBruteForce : public ::testing::TestWithParam<StackCase> {};
 
@@ -116,8 +119,9 @@ TEST_P(StackDpVsBruteForce, ExactlyOptimal) {
     s.pushes = static_cast<std::uint32_t>(rng.next_below(3));
     t.steps.push_back(s);
   }
-  const auto dp = solve_optimal_stack(t, m, window);
-  const auto bf = brute_force_stack(t, m, window);
+  const auto w = static_cast<std::uint32_t>(window);
+  const auto dp = solve_optimal_stack(t, m, w);
+  const auto bf = brute_force_stack(t, m, w);
   EXPECT_EQ(dp.total_cost, bf.total_cost)
       << "cores=" << cores << " len=" << length << " window=" << window
       << " seed=" << seed;

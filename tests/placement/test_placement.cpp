@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "util/rng.hpp"
+
 namespace em2 {
 namespace {
 
@@ -80,6 +84,42 @@ TEST(FirstTouch, Deterministic) {
   FirstTouchPlacement b(ts, 4);
   for (Addr blk = 0; blk < 3; ++blk) {
     EXPECT_EQ(a.home_of_block(blk), b.home_of_block(blk));
+  }
+}
+
+TEST(FirstTouch, MatchesTheRoundRobinWalk) {
+  // Threads of uneven length (some run dry early), shared blocks touched
+  // at equal and at different per-thread indices, natives not in thread
+  // order: the per-thread build must equal a literal walk of the
+  // interleaving, block for block.
+  TraceSet ts(64);
+  Rng rng(41);
+  for (std::int32_t t = 0; t < 7; ++t) {
+    ThreadTrace tt(t, (t * 5) % 7);
+    const auto len = 1 + rng.next_below(300);
+    for (std::uint64_t k = 0; k < len; ++k) {
+      tt.append(64 * rng.next_below(200), MemOp::kRead);
+    }
+    ts.add_thread(std::move(tt));
+  }
+  TablePlacement walked(7);
+  std::vector<bool> seen(200, false);
+  for (std::size_t k = 0; k < 300; ++k) {
+    for (const ThreadTrace& tt : ts.threads()) {
+      if (k < tt.size()) {
+        const Addr block = ts.block_of(tt.accesses()[k].addr);
+        if (!seen[block]) {
+          seen[block] = true;
+          walked.assign(block, tt.native_core());
+        }
+      }
+    }
+  }
+  const FirstTouchPlacement built(ts, 7);
+  EXPECT_EQ(built.assigned_blocks(), walked.assigned_blocks());
+  for (Addr block = 0; block < 200; ++block) {
+    EXPECT_EQ(built.home_of_block(block), walked.home_of_block(block))
+        << "block " << block;
   }
 }
 
