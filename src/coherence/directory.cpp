@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <unordered_set>
 
 #include "util/assert.hpp"
 
@@ -44,10 +43,6 @@ DirectoryCC::DirectoryCC(const Mesh& mesh, const CostModel& cost,
   for (CoreId c = 0; c < mesh_.num_cores(); ++c) {
     caches_.push_back(std::make_unique<Cache>(params.private_cache));
   }
-}
-
-DirectoryCC::DirEntry& DirectoryCC::dir_entry(Addr line) {
-  return directory_[line];
 }
 
 Cost DirectoryCC::send(CoreId src, CoreId dst, std::uint64_t payload_bits,
@@ -103,7 +98,6 @@ CcAccessResult DirectoryCC::access(CoreId core, Addr addr, MemOp op) {
   counters_.inc(Counter::kAccesses);
   CcAccessResult result;
   const Addr line = line_of(addr);
-  const CoreId home = placement_.home_of_block(line);
   Cache& cache = *caches_[static_cast<std::size_t>(core)];
   const auto state_byte = cache.state_of(line);
   const MsiState cstate =
@@ -125,8 +119,9 @@ CcAccessResult DirectoryCC::access(CoreId core, Addr addr, MemOp op) {
     counters_.inc(Counter::kHits);
     result.hit = true;
   } else if (op == MemOp::kRead) {
-    // Read miss: GetS to the directory.
+    // Read miss: GetS to the directory.  Only a miss needs the home.
     counters_.inc(Counter::kMisses);
+    const CoreId home = placement_.home_of_block(line);
     latency += send(core, home, addr_bits, Counter::kGetS) + params_.dir_latency;
     DirEntry& entry = dir_entry(line);
     if (entry.state == MsiState::kModified) {
@@ -164,6 +159,7 @@ CcAccessResult DirectoryCC::access(CoreId core, Addr addr, MemOp op) {
   } else {
     // Write miss or upgrade: GetM/Upgrade to the directory.
     counters_.inc(Counter::kMisses);
+    const CoreId home = placement_.home_of_block(line);
     const bool upgrade = cstate == MsiState::kShared;
     latency += send(core, home, addr_bits, upgrade ? Counter::kUpgrade : Counter::kGetM) +
                params_.dir_latency;
@@ -229,25 +225,25 @@ std::uint64_t DirectoryCC::total_valid_lines() const {
 }
 
 std::uint64_t DirectoryCC::distinct_resident_lines() const {
-  std::unordered_set<Addr> distinct;
-  // determinism: membership-only — the set's final contents (and the
-  // returned size) are independent of directory_ iteration order.
-  for (const auto& [line, entry] : directory_) {
+  std::uint64_t distinct = 0;
+  // determinism: order-insensitive integer count over the entries (one
+  // entry per line, so each resident line counts once).
+  directory_.for_each([&distinct](Addr, const DirEntry& entry) {
     if (entry.state != MsiState::kInvalid && !entry.sharers.empty()) {
-      distinct.insert(line);
+      ++distinct;
     }
-  }
-  return distinct.size();
+  });
+  return distinct;
 }
 
 std::uint64_t DirectoryCC::directory_bits() const {
   std::uint64_t tracked = 0;
   // determinism: order-insensitive integer count over the entries.
-  for (const auto& [line, entry] : directory_) {
+  directory_.for_each([&tracked](Addr, const DirEntry& entry) {
     if (entry.state != MsiState::kInvalid) {
       ++tracked;
     }
-  }
+  });
   return tracked * (2 + static_cast<std::uint64_t>(mesh_.num_cores()));
 }
 

@@ -25,13 +25,13 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "geom/mesh.hpp"
 #include "mem/cache.hpp"
 #include "noc/cost_model.hpp"
 #include "noc/traffic.hpp"
+#include "placement/block_map.hpp"
 #include "placement/placement.hpp"
 #include "util/counters.hpp"
 #include "util/stats.hpp"
@@ -114,7 +114,9 @@ class DirectoryCC {
   Addr line_of(Addr addr) const noexcept {
     return addr >> line_shift_;
   }
-  DirEntry& dir_entry(Addr line);
+  /// The line's directory entry, created Invalid on first use.  The
+  /// reference is valid until the next entry is created.
+  DirEntry& dir_entry(Addr line) { return directory_[line]; }
   /// One protocol message src -> dst carrying `payload_bits`; returns its
   /// latency and does the traffic/count accounting.
   Cost send(CoreId src, CoreId dst, std::uint64_t payload_bits,
@@ -128,7 +130,7 @@ class DirectoryCC {
   const Placement& placement_;
   std::uint32_t line_shift_;
   std::vector<std::unique_ptr<Cache>> caches_;
-  std::unordered_map<Addr, DirEntry> directory_;
+  BlockMap<DirEntry> directory_;
   FastCounters counters_;
   std::uint64_t traffic_bits_ = 0;
   Cost total_latency_ = 0;

@@ -1,60 +1,62 @@
 #include "em2/replication.hpp"
 
 #include <bit>
-#include <unordered_map>
 
 #include "util/assert.hpp"
+#include "util/counters.hpp"
 
 namespace em2 {
 
-std::unordered_set<Addr> replicable_blocks(const TraceSource& traces,
-                                           std::uint32_t max_writes) {
-  // Per-word write counts (word = 4-byte granule).
-  std::unordered_map<Addr, std::uint32_t> word_writes;
+BlockSet replicable_blocks(const TraceSource& traces,
+                           std::uint32_t max_writes) {
+  // One pass collects every touched block (valued: disqualified yet?) and
+  // the per-word write counts (word = 4-byte granule).
+  BlockMap<bool> touched;
+  BlockMap<std::uint32_t> word_writes;
   for (std::size_t t = 0; t < traces.num_threads(); ++t) {
     auto cursor = traces.make_cursor(t);
     while (const Access* a = cursor->next()) {
+      touched.try_emplace(traces.block_of(a->addr), false);
       if (a->op == MemOp::kWrite) {
         ++word_writes[a->addr >> 2];
       }
     }
   }
   // A block is disqualified if any of its words exceeds the threshold.
-  std::unordered_set<Addr> bad;
   const std::uint32_t word_shift =
       traces.block_bytes() >= 4
           ? static_cast<std::uint32_t>(
                 std::countr_zero(traces.block_bytes() / 4))
           : 0;
-  // determinism: membership-only — `bad`'s final contents are the same
-  // for any iteration order over the per-word counts.
-  for (const auto& [word, count] : word_writes) {
+  // determinism: membership-only — a flag is only ever set, so the flags
+  // end the same for any slot order over the per-word counts.
+  word_writes.for_each([&touched, word_shift, max_writes](
+                           Addr word, std::uint32_t count) {
     if (count > max_writes) {
-      bad.insert(word >> word_shift);
-    }
-  }
-  std::unordered_set<Addr> result;
-  for (std::size_t t = 0; t < traces.num_threads(); ++t) {
-    auto cursor = traces.make_cursor(t);
-    while (const Access* a = cursor->next()) {
-      const Addr block = traces.block_of(a->addr);
-      if (bad.count(block) == 0) {
-        result.insert(block);
+      if (bool* bad = touched.find(word >> word_shift)) {
+        *bad = true;
       }
     }
-  }
+  });
+  BlockSet result;
+  // determinism: membership-only — the set is the same for any order.
+  touched.for_each([&result](Addr block, bool bad) {
+    if (!bad) {
+      result.insert(block);
+    }
+  });
   return result;
 }
 
-std::unordered_set<Addr> replicable_blocks(const TraceSet& traces,
-                                           std::uint32_t max_writes) {
+BlockSet replicable_blocks(const TraceSet& traces,
+                           std::uint32_t max_writes) {
   return replicable_blocks(MemoryTraceSource(traces), max_writes);
 }
 
 Em2RunReport run_em2_replicated(
     const TraceSource& traces, const Placement& placement, const Mesh& mesh,
     const CostModel& cost, const Em2Params& params,
-    const std::unordered_set<Addr>& replicable,
+    const BlockSet& replicable,
     TrafficRecorder* recorder) {
   const std::size_t nthreads = traces.num_threads();
   std::vector<CoreId> native;
@@ -78,7 +80,7 @@ Em2RunReport run_em2_replicated(
   std::vector<RunLengthAnalyzer::ThreadState> rl;
   rl.reserve(nthreads);
 
-  CounterSet extra;
+  std::uint64_t replicated_reads = 0;
   std::vector<std::unique_ptr<AccessCursor>> cursor;
   cursor.reserve(nthreads);
   for (std::size_t t = 0; t < nthreads; ++t) {
@@ -96,14 +98,12 @@ Em2RunReport run_em2_replicated(
       const Access& a = *ap;
       progressed = true;
       const Addr block = traces.block_of(a.addr);
-      if (a.op == MemOp::kRead && replicable.count(block) != 0) {
+      if (a.op == MemOp::kRead && replicable.contains(block)) {
         // Read of a read-only block: served from a local replica, no
         // migration, no network traffic.  All replicas are identical by
         // construction (the block is never written post-initialization),
         // so sequential consistency is unaffected.
-        extra.inc("replicated_reads");
-        extra.inc("accesses");
-        extra.inc("reads");
+        ++replicated_reads;
         if (recorder != nullptr) {
           clock[t] += 1;  // local read: compute only, no packets
         }
@@ -129,7 +129,12 @@ Em2RunReport run_em2_replicated(
 
   Em2RunReport report;
   report.counters = machine.counters().named();
-  report.counters.merge(extra);
+  // Each replicated read is also an access and a read.
+  FastCounters extra;
+  extra.inc(Counter::kReplicatedReads, replicated_reads);
+  extra.inc(Counter::kAccesses, replicated_reads);
+  extra.inc(Counter::kReads, replicated_reads);
+  report.counters.merge(extra.named());
   report.total_thread_cost = machine.total_thread_cost();
   report.total_eviction_cost = machine.total_eviction_cost();
   report.per_thread_cost.reserve(nthreads);
@@ -148,7 +153,7 @@ Em2RunReport run_em2_replicated(
 Em2RunReport run_em2_replicated(
     const TraceSet& traces, const Placement& placement, const Mesh& mesh,
     const CostModel& cost, const Em2Params& params,
-    const std::unordered_set<Addr>& replicable,
+    const BlockSet& replicable,
     TrafficRecorder* recorder) {
   return run_em2_replicated(MemoryTraceSource(traces), placement, mesh,
                             cost, params, replicable, recorder);

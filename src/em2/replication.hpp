@@ -17,9 +17,8 @@
 // under the classifier's own definition.
 #pragma once
 
-#include <unordered_set>
-
 #include "em2/trace_sim.hpp"
+#include "placement/block_map.hpp"
 
 namespace em2 {
 
@@ -28,12 +27,12 @@ namespace em2 {
 /// each word written only by its initialization).  Write-once-then-read
 /// data — lookup tables, program constants — classifies as replicable;
 /// anything iteratively updated does not.  The TraceSource form streams
-/// the trace twice through fresh cursors (profile, then collect), so the
-/// classification also runs out-of-core.
-std::unordered_set<Addr> replicable_blocks(const TraceSource& traces,
-                                           std::uint32_t max_writes = 1);
-std::unordered_set<Addr> replicable_blocks(const TraceSet& traces,
-                                           std::uint32_t max_writes = 1);
+/// the trace once through fresh cursors, so the classification also runs
+/// out-of-core.
+BlockSet replicable_blocks(const TraceSource& traces,
+                           std::uint32_t max_writes = 1);
+BlockSet replicable_blocks(const TraceSet& traces,
+                           std::uint32_t max_writes = 1);
 
 /// run_em2 with read-only replication: reads of blocks in `replicable`
 /// are served at the reading thread's current core (no migration); all
@@ -42,12 +41,12 @@ std::unordered_set<Addr> replicable_blocks(const TraceSet& traces,
 Em2RunReport run_em2_replicated(
     const TraceSource& traces, const Placement& placement, const Mesh& mesh,
     const CostModel& cost, const Em2Params& params,
-    const std::unordered_set<Addr>& replicable,
+    const BlockSet& replicable,
     TrafficRecorder* recorder = nullptr);
 Em2RunReport run_em2_replicated(
     const TraceSet& traces, const Placement& placement, const Mesh& mesh,
     const CostModel& cost, const Em2Params& params,
-    const std::unordered_set<Addr>& replicable,
+    const BlockSet& replicable,
     TrafficRecorder* recorder = nullptr);
 
 }  // namespace em2

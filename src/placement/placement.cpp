@@ -1,75 +1,47 @@
 #include "placement/placement.hpp"
 
-#include <algorithm>
+#include <utility>
 
 #include "util/assert.hpp"
 
 namespace em2 {
-namespace {
 
-std::uint64_t splitmix64_once(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
-
-StripedPlacement::StripedPlacement(std::int32_t num_cores)
-    : num_cores_(num_cores) {
+Placement::Placement(std::int32_t num_cores, std::string name,
+                     Fallback fallback, std::uint64_t salt)
+    : num_cores_(num_cores),
+      fallback_(fallback),
+      salt_(salt),
+      name_(std::move(name)) {
   EM2_ASSERT(num_cores >= 1, "placement needs at least one core");
 }
 
-CoreId StripedPlacement::home_of_block(Addr block) const {
-  return static_cast<CoreId>(block %
-                             static_cast<std::uint64_t>(num_cores_));
-}
-
-HashedPlacement::HashedPlacement(std::int32_t num_cores, std::uint64_t salt)
-    : num_cores_(num_cores), salt_(salt) {
-  EM2_ASSERT(num_cores >= 1, "placement needs at least one core");
-}
-
-CoreId HashedPlacement::home_of_block(Addr block) const {
-  return static_cast<CoreId>(splitmix64_once(block ^ salt_) %
-                             static_cast<std::uint64_t>(num_cores_));
-}
-
-TablePlacement::TablePlacement(std::int32_t num_cores)
-    : num_cores_(num_cores) {
-  EM2_ASSERT(num_cores >= 1, "placement needs at least one core");
-}
-
-CoreId TablePlacement::home_of_block(Addr block) const {
-  const auto it = table_.find(block);
-  if (it != table_.end()) {
-    return it->second;
-  }
-  return static_cast<CoreId>(block %
-                             static_cast<std::uint64_t>(num_cores_));
-}
-
-void TablePlacement::assign(Addr block, CoreId home) {
+void Placement::assign(Addr block, CoreId home) {
   EM2_ASSERT(home >= 0 && home < num_cores_,
              "block assigned to a nonexistent core");
-  table_[block] = home;
+  *table_.try_emplace(block, home).first = home;
 }
 
-std::vector<std::uint64_t> TablePlacement::blocks_per_core() const {
+std::vector<std::uint64_t> Placement::blocks_per_core() const {
   std::vector<std::uint64_t> counts(
       static_cast<std::size_t>(num_cores_), 0);
   // determinism: order-insensitive integer accumulation — each entry
-  // bumps its own core's counter exactly once, in any iteration order.
-  for (const auto& [block, core] : table_) {
+  // bumps its own core's counter exactly once, in any slot order.
+  table_.for_each([&counts](Addr, CoreId core) {
     ++counts[static_cast<std::size_t>(core)];
-  }
+  });
   return counts;
 }
 
-FirstTouchPlacement::FirstTouchPlacement(const TraceSource& traces,
-                                         std::int32_t num_cores)
-    : TablePlacement(num_cores) {
+Placement striped_placement(std::int32_t num_cores) {
+  return Placement(num_cores, "striped");
+}
+
+Placement hashed_placement(std::int32_t num_cores, std::uint64_t salt) {
+  return Placement(num_cores, "hashed", Placement::Fallback::kHashed, salt);
+}
+
+Placement first_touch_placement(const TraceSource& traces,
+                                std::int32_t num_cores) {
   // "First" follows the deterministic round-robin interleaving (one
   // access per live thread per round, threads in id order): access k of
   // thread t precedes access k' of thread t' iff (k, t) < (k', t')
@@ -82,68 +54,89 @@ FirstTouchPlacement::FirstTouchPlacement(const TraceSource& traces,
     std::uint64_t index;
     CoreId native;
   };
-  std::unordered_map<Addr, FirstTouch> first;
-  std::vector<Addr> blocks;  // distinct blocks, in discovery order
+  BlockMap<FirstTouch> first;
   for (std::size_t t = 0; t < traces.num_threads(); ++t) {
     const CoreId native = traces.native_core(t);
     const std::unique_ptr<AccessCursor> cursor = traces.make_cursor(t);
     std::uint64_t k = 0;
     for (const Access* a = cursor->next(); a != nullptr;
          a = cursor->next(), ++k) {
-      const Addr block = traces.block_of(a->addr);
-      const auto [it, inserted] =
-          first.try_emplace(block, FirstTouch{k, native});
-      if (inserted) {
-        blocks.push_back(block);
-      } else if (k < it->second.index) {
-        it->second = FirstTouch{k, native};
+      const auto [touch, inserted] =
+          first.try_emplace(traces.block_of(a->addr), FirstTouch{k, native});
+      if (!inserted && k < touch->index) {
+        *touch = FirstTouch{k, native};
       }
     }
   }
-  // Erasing as the table fills hands each freed node to the next insert,
-  // so the two maps never hold every block at once.
-  table_.reserve(blocks.size());
-  for (const Addr block : blocks) {
-    const auto it = first.find(block);
-    const CoreId native = it->second.native;
-    EM2_ASSERT(native >= 0 && native < num_cores_,
+  Placement placement(num_cores, "first-touch");
+  // determinism: each block's home was settled above; assignment is keyed,
+  // so the table answers every lookup the same for any slot order.
+  first.for_each([&placement, num_cores](Addr block, const FirstTouch& f) {
+    EM2_ASSERT(f.native >= 0 && f.native < num_cores,
                "thread native core outside the mesh");
-    table_.emplace(block, native);
-    first.erase(it);
-  }
+    placement.assign(block, f.native);
+  });
+  return placement;
 }
 
-ProfileGreedyPlacement::ProfileGreedyPlacement(const TraceSource& traces,
-                                               std::int32_t num_cores)
-    : TablePlacement(num_cores) {
-  // Count per-(block, native core) accesses, then pick the argmax.
-  std::unordered_map<Addr, std::unordered_map<CoreId, std::uint64_t>> counts;
+Placement first_touch_placement(const TraceSet& traces,
+                                std::int32_t num_cores) {
+  return first_touch_placement(MemoryTraceSource(traces), num_cores);
+}
+
+Placement profile_greedy_placement(const TraceSource& traces,
+                                   std::int32_t num_cores) {
+  // Counts one native core at a time, in ascending id: a block's best core
+  // moves to a later core only on a strictly larger count, which is the
+  // ties-to-the-lower-id rule, and only one core's counts are live at
+  // once.  Threads whose native core lies outside the mesh count nowhere.
+  std::vector<std::vector<std::size_t>> threads_of(
+      static_cast<std::size_t>(num_cores));
   for (std::size_t t = 0; t < traces.num_threads(); ++t) {
     const CoreId native = traces.native_core(t);
-    auto cursor = traces.make_cursor(t);
-    while (const Access* a = cursor->next()) {
-      ++counts[traces.block_of(a->addr)][native];
+    if (native >= 0 && native < num_cores) {
+      threads_of[static_cast<std::size_t>(native)].push_back(t);
     }
   }
-  // determinism: each block's argmax is computed independently (the inner
-  // scan walks cores in ascending order, which fixes the tie-break), and
-  // table_ emplacement is keyed — the final table is the same map for any
-  // iteration order over `counts`.
-  for (const auto& [block, per_core] : counts) {
-    CoreId best = kNoCore;
-    std::uint64_t best_count = 0;
-    for (std::int32_t core = 0; core < num_cores_; ++core) {
-      const auto it = per_core.find(core);
-      const std::uint64_t c = it == per_core.end() ? 0 : it->second;
-      if (c > best_count) {
-        best_count = c;
-        best = core;
+  struct Best {
+    std::uint64_t count;
+    CoreId core;
+  };
+  BlockMap<Best> best;
+  BlockMap<std::uint64_t> count;
+  for (CoreId core = 0; core < num_cores; ++core) {
+    const std::vector<std::size_t>& threads =
+        threads_of[static_cast<std::size_t>(core)];
+    if (threads.empty()) {
+      continue;
+    }
+    count.clear();
+    for (const std::size_t t : threads) {
+      const std::unique_ptr<AccessCursor> cursor = traces.make_cursor(t);
+      while (const Access* a = cursor->next()) {
+        ++count[traces.block_of(a->addr)];
       }
     }
-    if (best != kNoCore) {
-      table_.emplace(block, best);
-    }
+    // determinism: each block's best is updated from its own count only,
+    // so the merge is the same for any slot order.
+    count.for_each([&best, core](Addr block, std::uint64_t c) {
+      const auto [b, inserted] = best.try_emplace(block, Best{c, core});
+      if (!inserted && c > b->count) {
+        *b = Best{c, core};
+      }
+    });
   }
+  Placement placement(num_cores, "profile-greedy");
+  // determinism: keyed assignment of settled homes, as in first-touch.
+  best.for_each([&placement](Addr block, const Best& b) {
+    placement.assign(block, b.core);
+  });
+  return placement;
+}
+
+Placement profile_greedy_placement(const TraceSet& traces,
+                                   std::int32_t num_cores) {
+  return profile_greedy_placement(MemoryTraceSource(traces), num_cores);
 }
 
 std::vector<CoreId> home_sequence(const ThreadTrace& thread,
@@ -161,16 +154,18 @@ std::unique_ptr<Placement> make_placement(const std::string& scheme,
                                           const TraceSource& traces,
                                           std::int32_t num_cores) {
   if (scheme == "striped") {
-    return std::make_unique<StripedPlacement>(num_cores);
+    return std::make_unique<Placement>(striped_placement(num_cores));
   }
   if (scheme == "hashed") {
-    return std::make_unique<HashedPlacement>(num_cores);
+    return std::make_unique<Placement>(hashed_placement(num_cores));
   }
   if (scheme == "first-touch") {
-    return std::make_unique<FirstTouchPlacement>(traces, num_cores);
+    return std::make_unique<Placement>(
+        first_touch_placement(traces, num_cores));
   }
   if (scheme == "profile-greedy") {
-    return std::make_unique<ProfileGreedyPlacement>(traces, num_cores);
+    return std::make_unique<Placement>(
+        profile_greedy_placement(traces, num_cores));
   }
   return nullptr;
 }

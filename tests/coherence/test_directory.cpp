@@ -10,7 +10,7 @@ namespace {
 struct CcFixture {
   Mesh mesh{4, 4};
   CostModel cost{mesh, CostModelParams{}};
-  StripedPlacement placement{16};
+  const Placement placement = striped_placement(16);
   DirCcParams params{};
   DirectoryCC cc{mesh, cost, params, placement};
 };

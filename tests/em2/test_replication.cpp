@@ -17,9 +17,9 @@ TEST(ReplicableBlocks, ClassifiesByWriteCount) {
   t0.append(0x080, MemOp::kRead);   // block 2: never written -> replicable
   ts.add_thread(std::move(t0));
   const auto repl = replicable_blocks(ts, 1);
-  EXPECT_TRUE(repl.count(0));
-  EXPECT_FALSE(repl.count(1));
-  EXPECT_TRUE(repl.count(2));
+  EXPECT_TRUE(repl.contains(0));
+  EXPECT_FALSE(repl.contains(1));
+  EXPECT_TRUE(repl.contains(2));
 }
 
 TEST(ReplicableBlocks, ThresholdIsConfigurable) {
@@ -28,8 +28,8 @@ TEST(ReplicableBlocks, ThresholdIsConfigurable) {
   t0.append(0x000, MemOp::kWrite);
   t0.append(0x000, MemOp::kWrite);
   ts.add_thread(std::move(t0));
-  EXPECT_FALSE(replicable_blocks(ts, 1).count(0));
-  EXPECT_TRUE(replicable_blocks(ts, 2).count(0));
+  EXPECT_FALSE(replicable_blocks(ts, 1).contains(0));
+  EXPECT_TRUE(replicable_blocks(ts, 2).contains(0));
 }
 
 TEST(ReplicableBlocks, CountsWritesAcrossThreads) {
@@ -40,7 +40,7 @@ TEST(ReplicableBlocks, CountsWritesAcrossThreads) {
   t1.append(0x000, MemOp::kWrite);
   ts.add_thread(std::move(t0));
   ts.add_thread(std::move(t1));
-  EXPECT_FALSE(replicable_blocks(ts, 1).count(0));
+  EXPECT_FALSE(replicable_blocks(ts, 1).contains(0));
 }
 
 TEST(Replication, TableLookupMigrationsCollapse) {
@@ -51,7 +51,7 @@ TEST(Replication, TableLookupMigrationsCollapse) {
   const TraceSet ts = workload::make_table_lookup(p);
   const Mesh mesh(4, 4);
   const CostModel cost(mesh, CostModelParams{});
-  FirstTouchPlacement placement(ts, 16);
+  const Placement placement = first_touch_placement(ts, 16);
   const auto replicable = replicable_blocks(ts, 1);
 
   const Em2RunReport base =
@@ -72,7 +72,7 @@ TEST(Replication, AccessCountsConserved) {
   const TraceSet ts = workload::make_table_lookup(p);
   const Mesh mesh = Mesh::near_square(8);
   const CostModel cost(mesh, CostModelParams{});
-  FirstTouchPlacement placement(ts, 8);
+  const Placement placement = first_touch_placement(ts, 8);
   const auto replicable = replicable_blocks(ts, 1);
   const Em2RunReport repl = run_em2_replicated(
       ts, placement, mesh, cost, Em2Params{}, replicable);
@@ -87,7 +87,7 @@ TEST(Replication, WriteHeavyWorkloadSeesNoBenefit) {
   const TraceSet ts = workload::make_producer_consumer(p);
   const Mesh mesh = Mesh::near_square(8);
   const CostModel cost(mesh, CostModelParams{});
-  FirstTouchPlacement placement(ts, 8);
+  const Placement placement = first_touch_placement(ts, 8);
   const auto replicable = replicable_blocks(ts, 1);
   const Em2RunReport base =
       run_em2(ts, placement, mesh, cost, Em2Params{});
@@ -106,7 +106,7 @@ TEST(Replication, EmptyReplicableSetMatchesPlainEm2) {
   const TraceSet ts = workload::make_sharing_mix(p);
   const Mesh mesh = Mesh::near_square(8);
   const CostModel cost(mesh, CostModelParams{});
-  FirstTouchPlacement placement(ts, 8);
+  const Placement placement = first_touch_placement(ts, 8);
   const Em2RunReport base =
       run_em2(ts, placement, mesh, cost, Em2Params{});
   const Em2RunReport repl = run_em2_replicated(

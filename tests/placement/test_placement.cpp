@@ -10,7 +10,7 @@ namespace em2 {
 namespace {
 
 TEST(StripedPlacement, RoundRobin) {
-  StripedPlacement p(4);
+  const Placement p = striped_placement(4);
   EXPECT_EQ(p.home_of_block(0), 0);
   EXPECT_EQ(p.home_of_block(1), 1);
   EXPECT_EQ(p.home_of_block(4), 0);
@@ -18,8 +18,8 @@ TEST(StripedPlacement, RoundRobin) {
 }
 
 TEST(HashedPlacement, InRangeAndDeterministic) {
-  HashedPlacement p(16);
-  HashedPlacement q(16);
+  const Placement p = hashed_placement(16);
+  const Placement q = hashed_placement(16);
   for (Addr b = 0; b < 1000; ++b) {
     const CoreId c = p.home_of_block(b);
     EXPECT_GE(c, 0);
@@ -29,8 +29,8 @@ TEST(HashedPlacement, InRangeAndDeterministic) {
 }
 
 TEST(HashedPlacement, SaltChangesMapping) {
-  HashedPlacement a(16, 0);
-  HashedPlacement b(16, 99);
+  const Placement a = hashed_placement(16, 0);
+  const Placement b = hashed_placement(16, 99);
   int diff = 0;
   for (Addr blk = 0; blk < 256; ++blk) {
     if (a.home_of_block(blk) != b.home_of_block(blk)) {
@@ -41,7 +41,7 @@ TEST(HashedPlacement, SaltChangesMapping) {
 }
 
 TEST(TablePlacement, AssignAndFallback) {
-  TablePlacement p(4);
+  Placement p(4);
   p.assign(10, 3);
   EXPECT_EQ(p.home_of_block(10), 3);
   EXPECT_EQ(p.home_of_block(11), 3);  // fallback: 11 % 4
@@ -69,7 +69,7 @@ TraceSet two_thread_traces() {
 
 TEST(FirstTouch, RoundRobinInterleaveDecidesOwnership) {
   const TraceSet ts = two_thread_traces();
-  FirstTouchPlacement p(ts, 4);
+  const Placement p = first_touch_placement(ts, 4);
   // Round 0: t0 touches block 0, t1 touches block 2.
   // Round 1: t0 touches block 1, t1 touches block 1 (already owned by t0).
   EXPECT_EQ(p.home_of_block(0), 0);
@@ -80,8 +80,8 @@ TEST(FirstTouch, RoundRobinInterleaveDecidesOwnership) {
 
 TEST(FirstTouch, Deterministic) {
   const TraceSet ts = two_thread_traces();
-  FirstTouchPlacement a(ts, 4);
-  FirstTouchPlacement b(ts, 4);
+  const Placement a = first_touch_placement(ts, 4);
+  const Placement b = first_touch_placement(ts, 4);
   for (Addr blk = 0; blk < 3; ++blk) {
     EXPECT_EQ(a.home_of_block(blk), b.home_of_block(blk));
   }
@@ -102,7 +102,7 @@ TEST(FirstTouch, MatchesTheRoundRobinWalk) {
     }
     ts.add_thread(std::move(tt));
   }
-  TablePlacement walked(7);
+  Placement walked(7);
   std::vector<bool> seen(200, false);
   for (std::size_t k = 0; k < 300; ++k) {
     for (const ThreadTrace& tt : ts.threads()) {
@@ -115,7 +115,7 @@ TEST(FirstTouch, MatchesTheRoundRobinWalk) {
       }
     }
   }
-  const FirstTouchPlacement built(ts, 7);
+  const Placement built = first_touch_placement(ts, 7);
   EXPECT_EQ(built.assigned_blocks(), walked.assigned_blocks());
   for (Addr block = 0; block < 200; ++block) {
     EXPECT_EQ(built.home_of_block(block), walked.home_of_block(block))
@@ -133,7 +133,7 @@ TEST(ProfileGreedy, MajorityAccessorWins) {
   t1.append(0x40, MemOp::kWrite);
   ts.add_thread(std::move(t0));
   ts.add_thread(std::move(t1));
-  ProfileGreedyPlacement p(ts, 4);
+  const Placement p = profile_greedy_placement(ts, 4);
   EXPECT_EQ(p.home_of_block(1), 1);
 }
 
@@ -145,13 +145,13 @@ TEST(ProfileGreedy, TieGoesToLowerCore) {
   t1.append(0x00, MemOp::kRead);
   ts.add_thread(std::move(t0));
   ts.add_thread(std::move(t1));
-  ProfileGreedyPlacement p(ts, 4);
+  const Placement p = profile_greedy_placement(ts, 4);
   EXPECT_EQ(p.home_of_block(0), 1);  // cores 1 and 2 tie; lower id wins
 }
 
 TEST(HomeSequence, MapsEveryAccess) {
   const TraceSet ts = two_thread_traces();
-  StripedPlacement p(4);
+  const Placement p = striped_placement(4);
   const auto homes = home_sequence(ts.thread(0), ts, p);
   ASSERT_EQ(homes.size(), 3u);
   EXPECT_EQ(homes[0], 0);  // block 0 -> core 0
@@ -171,7 +171,7 @@ TEST(MakePlacement, FactoryKnowsAllSchemes) {
 }
 
 TEST(TablePlacement, BlocksPerCore) {
-  TablePlacement p(3);
+  Placement p(3);
   p.assign(0, 0);
   p.assign(1, 0);
   p.assign(2, 2);

@@ -28,7 +28,7 @@ RProgram sum_program(Addr base, int n, Addr result) {
 struct ExecFixture {
   Mesh mesh{4, 4};
   CostModel cost{mesh, CostModelParams{}};
-  StripedPlacement placement{16};
+  const Placement placement = striped_placement(16);
   ExecParams params{};
 };
 
